@@ -149,12 +149,13 @@ bench-diff:
 
 # Blocking regression gate: compare a fresh run against a baseline
 # recorded on this same machine (CI measures origin/main in a worktree
-# right before this), failing on any pinned benchmark >10% slower.
+# right before this), failing on any pinned benchmark >10% slower. The
+# raw run is kept in bench-new.txt for the advisory diff.
 # Record the baseline with:
 #   git worktree add /tmp/base origin/main && cd /tmp/base && \
 #   make bench-json BENCH_JSON=$(CURDIR)/$(BENCH_GATE_BASE)
 bench-gate:
-	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -gate $(BENCH_GATE_BASE) -pin '$(BENCH_PIN)'
+	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem -run='^$$' $(BENCH_PKGS) | tee bench-new.txt | $(GO) run ./cmd/benchjson -gate $(BENCH_GATE_BASE) -pin '$(BENCH_PIN)'
 
 # Per-benchmark ns/op + allocs history across every committed baseline
 # file (BENCH_1.json, BENCH_2.json, ...), oldest first.

@@ -348,53 +348,10 @@ func (s *SMM) MoveBatch(ids []graph.NodeID, csr *graph.CSR, states, next []Point
 	}
 }
 
-// InstallBatch implements BatchInstaller. The dependency rule follows
-// directly from the rules' read sets: a node holding a pointer reads only
-// its target's state (R3 and the dangling-pointer repair consult nothing
-// else), so a state change at id re-privileges a pointing neighbor w only
-// when w points at id; a null node's rules (R1/R2) scan every neighbor,
-// so it always re-evaluates. This holds for every Accept/Proposal policy
-// — policies change which null-neighbor wins, not which states are read.
-//
-//selfstab:noalloc
-func (s *SMM) InstallBatch(ids []graph.NodeID, csr *graph.CSR, states, next []Pointer, moved []bool, f *graph.Frontier) int {
-	offs, nbrs := csr.Rows32()
-	mv := 0
-	for _, id := range ids {
-		// SMM is deterministic: every firing rule rewrites the pointer, so
-		// moved coincides exactly with "the state changed" and one flag
-		// covers both the move count and the install test.
-		if !moved[id] {
-			continue
-		}
-		mv++
-		nx := next[id]
-		states[id] = nx
-		// A mover re-marks itself only when it lands on Null: a node whose
-		// new state points at k can only become privileged again through a
-		// change at k, and k's own install marks it — whether k installs
-		// before us (it reads our old state, Null, since R1/R2 fire only
-		// from Null) or after us (it reads our new Pointer(k)). A node
-		// landing on Null may have R1/R2 immediately enabled with no
-		// neighbor changing, so it must re-evaluate.
-		f.AddMask(id, nx == Null)
-		target := Pointer(id)
-		for _, w := range nbrs[offs[id]:offs[id+1]] {
-			pw := states[w]
-			// Exact dependency test, compiled to flag-set-and-or rather
-			// than a data-dependent branch: null neighbors read every
-			// state, pointing neighbors read only their target's.
-			isNull := pw == Null
-			pointsHere := pw == target
-			f.AddMask(graph.NodeID(w), isNull || pointsHere)
-		}
-	}
-	return mv
-}
-
-// CommitBatch implements ShardKernel: the commit half of InstallBatch.
-// SMM is deterministic, so moved coincides exactly with "the state
-// changed". Writes touch only ids' slots — safe across shards with
+// CommitBatch implements ShardKernel. SMM is deterministic — every
+// firing rule rewrites the pointer — so moved coincides exactly with
+// "the state changed" and one flag covers both the move count and the
+// install test. Writes touch only ids' slots — safe across shards with
 // disjoint id sets.
 //
 //selfstab:noalloc
@@ -409,14 +366,25 @@ func (s *SMM) CommitBatch(ids []graph.NodeID, states, next []Pointer, moved []bo
 	return mv
 }
 
-// MarkBatch implements ShardKernel: the dependency-marking half of
-// InstallBatch, reading the fully committed post-round states. The test
-// per neighbor is the same as InstallBatch's; its soundness argument is
-// order-independent (see the InstallBatch comments), and post-round
-// reads are the all-installs-first order: a moved neighbor w either
-// landed on Null (its own shard's mark phase re-marks it) or points at
-// some k, in which case only a change at k — whose mark phase tests
-// exactly this — can re-enable it.
+// MarkBatch implements ShardKernel, reading the fully committed
+// post-round states. The dependency rule follows directly from the
+// rules' read sets: a node holding a pointer reads only its target's
+// state (R3 and the dangling-pointer repair consult nothing else), so a
+// state change at id re-privileges a pointing neighbor w only when w
+// points at id; a null node's rules (R1/R2) scan every neighbor, so it
+// always re-evaluates. This holds for every Accept/Proposal policy —
+// policies change which null-neighbor wins, not which states are read.
+//
+// A mover re-marks itself only when it lands on Null: a node whose new
+// state points at k can only become privileged again through a change
+// at k, and k's own mark phase marks it — k reads our new Pointer(k)
+// after the barrier. A node landing on Null may have R1/R2 immediately
+// enabled with no neighbor changing, so it must re-evaluate. The
+// argument does not depend on the order of installs, so post-round
+// reads (all installs first) are sound: a moved neighbor w either
+// landed on Null (its own mark re-marks it) or points at some k, in
+// which case only a change at k — whose mark tests exactly this — can
+// re-enable it.
 //
 //selfstab:noalloc
 func (s *SMM) MarkBatch(ids []graph.NodeID, csr *graph.CSR, states []Pointer, moved []bool, f *graph.Frontier) {
@@ -430,6 +398,9 @@ func (s *SMM) MarkBatch(ids []graph.NodeID, csr *graph.CSR, states []Pointer, mo
 		target := Pointer(id)
 		for _, w := range nbrs[offs[id]:offs[id+1]] {
 			pw := states[w]
+			// Exact dependency test, compiled to flag-set-and-or rather
+			// than a data-dependent branch: null neighbors read every
+			// state, pointing neighbors read only their target's.
 			isNull := pw == Null
 			pointsHere := pw == target
 			f.AddMask(graph.NodeID(w), isNull || pointsHere)

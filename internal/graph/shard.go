@@ -26,6 +26,13 @@ type Partition struct {
 	// spans[s*K+t] is the subrange [lo, hi) of shard t's node range that
 	// shard s's halo covers (zero-length when s has no neighbor in t).
 	spans [][2]int32
+	// one backs starts, halos and spans when K = 1, so the partition of
+	// the default sequential executor is a single allocation.
+	one struct {
+		starts [2]int32
+		halos  [1][]NodeID
+		spans  [1][2]int32
+	}
 }
 
 // NewPartition partitions c into k contiguous ranges. k is clamped to
@@ -39,12 +46,19 @@ func NewPartition(c *CSR, k int) *Partition {
 	if k < 1 {
 		k = 1
 	}
-	p := &Partition{
-		csr:    c,
-		starts: make([]int32, k+1),
-		halos:  make([][]NodeID, k),
-		spans:  make([][2]int32, k*k),
+	p := &Partition{csr: c}
+	if k == 1 {
+		// One shard owns every node, so it has no halo and nothing to
+		// absorb; skipping the O(m) halo scan keeps the default
+		// sequential executor's construction cost at the CSR snapshot.
+		p.one.starts = [2]int32{0, int32(n)}
+		p.one.spans[0] = [2]int32{int32(n), 0}
+		p.starts, p.halos, p.spans = p.one.starts[:], p.one.halos[:], p.one.spans[:]
+		return p
 	}
+	p.starts = make([]int32, k+1)
+	p.halos = make([][]NodeID, k)
+	p.spans = make([][2]int32, k*k)
 	for s := 0; s <= k; s++ {
 		p.starts[s] = int32(s * n / k)
 	}

@@ -234,6 +234,83 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	}
 }
 
+// TestCheckpointInsideGroupCommitRun pins the checkpoint label inside a
+// group-commit run: prepare assigns seqs to the whole run before the
+// first apply, so a checkpoint taken mid-run must be labeled (snapshot
+// seq, dedup window, compaction bound) with the last applied mutation,
+// not the last prepared one. Ten edge additions land in one run across
+// two snapshot multiples; after a kill, recovery must replay every
+// acknowledged one.
+func TestCheckpointInsideGroupCommitRun(t *testing.T) {
+	const burst = 10
+	dir := t.TempDir()
+	meta := tenantMeta{ID: "ckpt", Protocol: ProtocolSMM, N: 16, Seed: 3}
+	opts := tenantOptions{
+		queueDepth:  burst + 4,
+		slice:       64,
+		snapEvery:   4,
+		commitEvery: 500 * time.Millisecond,
+		segBytes:    64 << 20,
+		now:         time.Now,
+	}
+	ctx, kill := context.WithCancel(context.Background())
+	tn, err := newTenant(ctx, dir, meta, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := make([]*command, burst)
+	for i := range cmds {
+		u, v := i, i+1
+		cmds[i] = &command{mut: Mutation{Op: OpAddEdge, U: &u, V: &v, Key: fmt.Sprintf("k%d", i)}, reply: make(chan cmdResult, 1)}
+		tn.cmds <- cmds[i]
+	}
+	for i, cmd := range cmds {
+		if res := <-cmd.reply; res.Err != nil || res.Seq != int64(i+1) {
+			t.Fatalf("command %d: seq %d, err %v", i, res.Seq, res.Err)
+		}
+	}
+	if jv := tn.journalVars(); jv.Batches != 1 {
+		t.Fatalf("batches = %d, want the burst in one group-commit run", jv.Batches)
+	}
+	want := tn.status()
+	wantSnap, err := json.Marshal(tn.snapshotView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill()
+	<-tn.dead
+
+	re, err := newTenant(context.Background(), dir, meta, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { re.close(); <-re.dead }()
+	got := re.status()
+	if got.Seq != burst || got.M != burst {
+		t.Fatalf("recovered seq %d with %d edges, want seq %d with %d", got.Seq, got.M, burst, burst)
+	}
+	if got != want {
+		t.Fatalf("recovered status diverged:\nwant %+v\ngot  %+v", want, got)
+	}
+	gotSnap, err := json.Marshal(re.snapshotView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotSnap) != string(wantSnap) {
+		t.Fatalf("recovered snapshot diverged:\nwant %s\ngot  %s", wantSnap, gotSnap)
+	}
+	// The dedup window must not claim keys the snapshot does not cover:
+	// every key replays as a duplicate of its own seq.
+	for i := 0; i < burst; i++ {
+		u, v := i, i+1
+		cmd := &command{mut: Mutation{Op: OpAddEdge, U: &u, V: &v, Key: fmt.Sprintf("k%d", i)}, reply: make(chan cmdResult, 1)}
+		re.cmds <- cmd
+		if res := <-cmd.reply; !res.Duplicate || res.Seq != int64(i+1) {
+			t.Fatalf("key k%d after recovery: %+v, want duplicate of seq %d", i, res, i+1)
+		}
+	}
+}
+
 // TestSegmentRotationAndCompaction pins the journal lifecycle: tiny
 // segments rotate under a mutation stream, a checkpoint retires every
 // sealed segment it covers, and a post-compaction kill still recovers

@@ -495,6 +495,21 @@ func (t *tenant) handleRun(run []*command) (ok bool) {
 		}
 		return false
 	}
+	// prepare has already advanced t.seq over the whole run, and a
+	// checkpoint is labeled with t.seq: taken mid-run it would claim
+	// entries not yet applied, and recovery would skip them. So the run
+	// checkpoints once, after its last apply, if it crossed a multiple
+	// of the cadence.
+	first, last := -1, -1
+	for i := range pend {
+		if !pend[i].done {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	ckpt := last >= 0 && t.crossesSnapshot(pend[first].mut.Seq-1, pend[last].mut.Seq)
 	for i := range pend {
 		p := &pend[i]
 		current = p.cmd
@@ -511,7 +526,7 @@ func (t *tenant) handleRun(run []*command) (ok bool) {
 			p.cmd.reply <- cmdResult{Seq: p.mut.Seq, Err: t.svcCtx.Err()}
 			return false
 		}
-		p.cmd.reply <- t.finish(p.mut, rounds, moves, stable, true, cerr)
+		p.cmd.reply <- t.finish(p.mut, rounds, moves, stable, true, ckpt && i == last, cerr)
 	}
 	return true
 }
@@ -565,7 +580,7 @@ func (t *tenant) handle(cmd *command) (ok bool) {
 		cmd.reply <- cmdResult{Seq: m.Seq, Err: fmt.Errorf("%w: journal commit: %v", errQuarantined, err)}
 		return false
 	}
-	cmd.reply <- t.finish(m, rounds, moves, stable, false, cerr)
+	cmd.reply <- t.finish(m, rounds, moves, stable, false, t.crossesSnapshot(m.Seq-1, m.Seq), cerr)
 	return true
 }
 
@@ -673,22 +688,30 @@ func (t *tenant) runEpoch(ctx context.Context, budget int) (rounds, moves int, s
 	return rounds, moves, false, nil
 }
 
-// finish updates epoch accounting and checkpoints at the snapshot
-// cadence. Only the event-loop goroutine calls it, so the lock/unlock
-// seams between the steps admit readers but never writers.
-func (t *tenant) finish(m Mutation, rounds, moves int, stable, counted bool, cerr error) cmdResult {
+// finish updates epoch accounting and, when ckpt is set, checkpoints.
+// Callers set ckpt only when m is the last applied mutation, so the
+// checkpoint's seq label covers exactly the applied state. Only the
+// event-loop goroutine calls it, so the lock/unlock seams between the
+// steps admit readers but never writers.
+func (t *tenant) finish(m Mutation, rounds, moves int, stable, counted, ckpt bool, cerr error) cmdResult {
 	t.noteEpoch(rounds, moves, stable, counted)
 	res := t.epochResult(m.Seq, rounds)
 	if cerr != nil {
 		res.Err = cerr
 		return res
 	}
-	if t.snapEvery > 0 && m.Seq%t.snapEvery == 0 {
+	if ckpt {
 		if err := t.checkpoint(); err != nil {
 			res.Err = err
 		}
 	}
 	return res
+}
+
+// crossesSnapshot reports whether the seqs (from, to] include a multiple
+// of the snapshot cadence.
+func (t *tenant) crossesSnapshot(from, to int64) bool {
+	return t.snapEvery > 0 && to/t.snapEvery > from/t.snapEvery
 }
 
 // journalAppend is the locked append+commit seam for post-hoc

@@ -173,25 +173,3 @@ func TestShardedRunCtxCancel(t *testing.T) {
 		t.Fatalf("sharded RunCtx result: %+v", res)
 	}
 }
-
-func TestParallelRunCtxCancel(t *testing.T) {
-	l := NewParallel[int](spinner{}, spinnerConfig(32), 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := l.RunCtx(ctx, 1<<30)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Parallel.RunCtx err = %v, want context.Canceled", err)
-	}
-	if res.Rounds != 0 || res.Stable {
-		t.Fatalf("Parallel.RunCtx on canceled ctx ran: %+v", res)
-	}
-
-	// And a live cancellation: the non-stabilizing protocol would spin
-	// forever without the ctx check.
-	l2 := NewParallel[int](spinner{}, spinnerConfig(32), 4)
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	go cancel2()
-	if _, err := l2.RunCtx(ctx2, 1<<30); !errors.Is(err, context.Canceled) {
-		t.Fatalf("live cancel err = %v, want context.Canceled", err)
-	}
-}

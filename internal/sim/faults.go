@@ -19,10 +19,7 @@ type FaultLockstep[S comparable] struct {
 // NewFaultLockstep wraps protocol p over configuration cfg (used in
 // place, as in NewLockstep) with fault hooks installed.
 func NewFaultLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) *FaultLockstep[S] {
-	l := NewLockstep(p, cfg)
-	ov := faults.NewOverlay[S]()
-	l.peerFilter = ov.Peer
-	return &FaultLockstep[S]{l: l, ov: ov}
+	return newFaultLockstep(NewLockstep(p, cfg))
 }
 
 // NewReferenceFaultLockstep is NewFaultLockstep over the full-scan
@@ -30,21 +27,23 @@ func NewFaultLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) *Fau
 // The metamorphic fault tests replay the same schedule on both and
 // require byte-identical reports.
 func NewReferenceFaultLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) *FaultLockstep[S] {
-	f := NewFaultLockstep(p, cfg)
-	f.l.fullScan = true
-	return f
+	return newFaultLockstep(NewReferenceLockstep(p, cfg))
 }
 
-// NewShardedFaultLockstep is NewFaultLockstep over the sharded frontier
-// engine: identical fault semantics, with fault-footprint dirty marks
-// routed to the owning shards' frontiers. The sharded metamorphic fault
-// tests replay the same schedule on this and on the reference engine at
-// 1–8 shards and require byte-identical reports.
+// NewShardedFaultLockstep is NewFaultLockstep at the given shard count:
+// identical fault semantics, with fault-footprint dirty marks routed to
+// the owning shards' frontiers. The sharded metamorphic fault tests
+// replay the same schedule on this and on the reference engine at 1–8
+// shards and require byte-identical reports.
 func NewShardedFaultLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], shards int) *FaultLockstep[S] {
-	f := NewFaultLockstep(p, cfg)
-	f.l.sh = nil
-	f.l.attachShards(shards)
-	return f
+	return newFaultLockstep(NewShardedLockstep(p, cfg, shards))
+}
+
+func newFaultLockstep[S comparable](l *Lockstep[S]) *FaultLockstep[S] {
+	ov := faults.NewOverlay[S]()
+	l.peerFilter = ov.Peer
+	l.initReaders()
+	return &FaultLockstep[S]{l: l, ov: ov}
 }
 
 // Lockstep returns the wrapped executor.
@@ -135,8 +134,8 @@ func (f *FaultLockstep[S]) DetectionLag() int { return 0 }
 // point in the deterministic lockstep model.
 func (f *FaultLockstep[S]) QuietRounds() int { return 1 }
 
-// Close implements faults.Target: releases the sharded engine's worker
-// pool, if any (the unsharded engines hold no resources).
+// Close implements faults.Target: releases the engine's worker pool, if
+// any (one-shard engines hold no resources).
 func (f *FaultLockstep[S]) Close() { f.l.Close() }
 
 var _ faults.Target[bool] = (*FaultLockstep[bool])(nil)

@@ -72,7 +72,7 @@ func TestFrontierMatchesReferenceSMI(t *testing.T) {
 }
 
 // opaque hides every optional fast-path interface of a protocol (batch
-// evaluator, batch installer) and strips the direct-read state vector
+// evaluator, shard kernel) and strips the direct-read state vector
 // from each view, forcing executors onto the per-node closure path with
 // the generic install loop — the third evaluation path, which the batch
 // kernels must match move for move and state for state.
@@ -87,9 +87,9 @@ func (o opaque[S]) Move(v core.View[S]) (S, bool) {
 	return o.p.Move(v)
 }
 
-// The batch kernels (MoveBatch + InstallBatch), the direct-read Move path,
-// and the closure-read Move path are three implementations of the same
-// rules; this pins all three to each other on both engines.
+// The batch kernels (MoveBatch + CommitBatch/MarkBatch), the direct-read
+// Move path, and the closure-read Move path are three implementations of
+// the same rules; this pins all three to each other on both engines.
 func TestBatchKernelsMatchClosurePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(108))
 	for trial := 0; trial < 20; trial++ {
@@ -143,54 +143,53 @@ func TestFrontierMatchesReferenceRefined(t *testing.T) {
 	}
 }
 
-// The data-parallel executor must agree with the reference for every
-// worker count, both per round and in the final Result.
+// The pooled engine — shards on real worker goroutines, the dispatch
+// threshold lowered so even these small graphs use the pool — must agree
+// with the reference for every shard count, both per round and in the
+// final counters.
 func TestParallelFrontierMatchesReference(t *testing.T) {
+	old := shardParallelMin
+	shardParallelMin = 1
+	defer func() { shardParallelMin = old }()
+
 	rng := rand.New(rand.NewSource(104))
 	for trial := 0; trial < 10; trial++ {
 		g := graph.RandomConnected(4+rng.Intn(40), 0.1+rng.Float64()*0.3, rng)
 		seed := int64(trial)
-		for workers := 1; workers <= 4; workers++ {
-			par := NewParallel[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed), workers)
+		for shards := 1; shards <= 4; shards++ {
+			par := NewShardedLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed), shards)
 			ref := NewReferenceLockstep[core.Pointer](core.NewSMM(), equivCfg[core.Pointer](core.NewSMM(), g, seed))
-			for r := 0; r < g.N()+3; r++ {
-				mp, mr := par.Step(), ref.Step()
-				if mp != mr {
-					t.Fatalf("workers=%d round %d: parallel moved %d, reference %d", workers, r, mp, mr)
-				}
-				for v := range par.cfg.States {
-					if par.cfg.States[v] != ref.cfg.States[v] {
-						t.Fatalf("workers=%d round %d: node %d diverged", workers, r, v)
-					}
-				}
-			}
-			if par.Rounds() != ref.Rounds() || par.Moves() != ref.Moves() {
-				t.Fatalf("workers=%d: counters diverged", workers)
-			}
+			stepCompare(t, "pooled SMM", par, ref, g.N()+3)
+			par.Close()
 		}
 	}
 }
 
-// Parallel.Run and Lockstep.Run must return identical Results from
-// identical inputs for any worker count.
+// Run on the pooled engine and on the reference must return identical
+// Results from identical inputs for any shard count.
 func TestParallelFrontierRunResultMatches(t *testing.T) {
+	old := shardParallelMin
+	shardParallelMin = 1
+	defer func() { shardParallelMin = old }()
+
 	rng := rand.New(rand.NewSource(105))
 	for trial := 0; trial < 10; trial++ {
 		g := graph.RandomConnected(4+rng.Intn(40), 0.1+rng.Float64()*0.3, rng)
 		seed := int64(trial)
 		ref := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed))
 		want := ref.Run(g.N() + 2)
-		for workers := 1; workers <= 4; workers++ {
-			par := NewParallel[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed), workers)
+		for shards := 1; shards <= 4; shards++ {
+			par := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed), shards)
 			got := par.Run(g.N() + 2)
 			if got != want {
-				t.Fatalf("workers=%d: Result %+v, reference %+v", workers, got, want)
+				t.Fatalf("shards=%d: Result %+v, reference %+v", shards, got, want)
 			}
 			for v := range par.cfg.States {
 				if par.cfg.States[v] != ref.cfg.States[v] {
-					t.Fatalf("workers=%d: node %d diverged at fixpoint", workers, v)
+					t.Fatalf("shards=%d: node %d diverged at fixpoint", shards, v)
 				}
 			}
+			par.Close()
 		}
 	}
 }

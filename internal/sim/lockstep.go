@@ -5,17 +5,17 @@
 // exactly to the paper's "period of time in which each node in the system
 // receives beacon messages from all its neighbors".
 //
-// Two engines share the Lockstep type. The default (NewLockstep) is the
-// active-frontier engine: after each round only nodes whose local view
-// may have changed — movers, nodes whose state changed, and the
-// neighbors of the latter — are enqueued for evaluation next round.
-// Because Move is a pure function of the local view (enforced by the
-// purity analyzer; see DESIGN.md, "Active-frontier scheduling"), a
-// node outside the frontier is guaranteed to be a no-op, so every Result,
-// trace, and state sequence is byte-identical to the full scan. The
-// reference engine (NewReferenceLockstep) keeps the plain evaluate-
-// everything loop; the metamorphic suite replays random workloads on
-// both and demands equality.
+// Lockstep has one round engine: the sharded active-frontier engine of
+// sharded.go, which runs as a single shard by default. After each round
+// only nodes whose local view may have changed — movers, nodes whose
+// state changed, and the neighbors of the latter — are enqueued for
+// evaluation next round. Because Move is a pure function of the local
+// view (enforced by the purity analyzer; see DESIGN.md, "Active-frontier
+// scheduling"), a node outside the frontier is guaranteed to be a no-op,
+// so every Result, trace, and state sequence is byte-identical to the
+// full scan. The reference engine (NewReferenceLockstep) is the same
+// engine with every round forced to a full round; the metamorphic suite
+// replays random workloads on both and demands equality.
 package sim
 
 import (
@@ -62,18 +62,21 @@ type Instance interface {
 	Moves() int
 }
 
-// filteredViewer is the reusable viewer-aware peer reader of fault runs:
-// one value per executor, re-targeted per node by writing viewer, so the
-// peerFilter path allocates nothing per node (the closure over the
-// pointer is created once at construction).
-type filteredViewer[S comparable] struct {
+// peerReader is the reusable Peer reader of the generic Move path: one
+// value per shard, re-targeted per node by writing viewer, so the path
+// allocates nothing per node (the closure over the pointer is created
+// once, by initReaders). With a nil filter it reads the fresh states.
+type peerReader[S comparable] struct {
 	viewer graph.NodeID
 	states []S
 	filter func(viewer, nbr graph.NodeID, fresh S) S
 }
 
-func (f *filteredViewer[S]) read(j graph.NodeID) S {
-	return f.filter(f.viewer, j, f.states[j])
+func (r *peerReader[S]) read(j graph.NodeID) S {
+	if r.filter == nil {
+		return r.states[j]
+	}
+	return r.filter(r.viewer, j, r.states[j])
 }
 
 // Lockstep runs one protocol on one configuration in lockstep rounds.
@@ -88,80 +91,55 @@ type Lockstep[S comparable] struct {
 	// peerFilter, when non-nil, intercepts every neighbor-state read of a
 	// round with (viewer, neighbor, fresh state). It is how the fault
 	// layer serves stale views (beacon-loss bursts, frozen neighbor
-	// tables) without touching the true states; nil in normal runs.
+	// tables) without touching the true states; nil in normal runs. It
+	// is set once, at construction of the fault adapter, which then
+	// rebuilds the shard readers (initReaders) over it.
 	peerFilter func(viewer, nbr graph.NodeID, fresh S) S
 
-	// fullScan selects the reference engine: every node every round.
+	// fullScan selects the reference engine: every round is a full round.
 	fullScan bool
 	// csr is the flat adjacency snapshot serving all neighbor reads; it
-	// is rebuilt (and the frontier fully re-dirtied) whenever the
-	// topology's version moves without a DirtyEdge notification.
-	csr       *graph.CSR
-	frontier  *graph.Frontier
-	movedBuf  []bool         // per-node active flag of the current round
-	activeBuf []graph.NodeID // reusable frontier drain buffer
+	// is rebuilt (and every node re-dirtied) whenever the topology's
+	// version moves without a DirtyEdge notification.
+	csr      *graph.CSR
+	movedBuf []bool // per-node active flag of the current round
 
-	// peerFn and filteredFn are the two per-round Peer readers, allocated
-	// once here instead of once per round (or, pre-frontier, once per
-	// node per round on the filtered path).
-	peerFn     func(graph.NodeID) S
-	fv         filteredViewer[S]
-	filteredFn func(graph.NodeID) S
+	// batch, when the protocol provides one, evaluates a shard's drained
+	// nodes in a single call on the unfiltered path — no View
+	// construction and no interface dispatch per node. It is nil for
+	// wrapped or third-party protocols, which take the per-node Move loop.
+	batch core.BatchEvaluator[S]
 
-	// batch, when the protocol provides one, evaluates a whole round in a
-	// single call on the unfiltered path — no View construction and no
-	// interface dispatch per node. It is nil for wrapped or third-party
-	// protocols, which take the per-node Move loop. installer is the
-	// matching fast path for the install half of the round; it
-	// additionally prunes the next frontier to the protocol's true read
-	// dependencies instead of whole closed neighborhoods.
-	batch     core.BatchEvaluator[S]
-	installer core.BatchInstaller[S]
-
-	// sh, when non-nil, switches Step to the sharded engine: the node ID
-	// space is partitioned into contiguous ranges, each with its own
-	// frontier, and rounds run as barrier-separated shard phases (see
-	// sharded.go). All observable behavior is unchanged.
-	sh *shardRT[S]
+	// sh is the round engine: the node ID space partitioned into k
+	// contiguous ranges, each with its own frontier, and every round run
+	// as barrier-separated shard phases (see sharded.go). The sequential
+	// engine is the k = 1 case.
+	sh shardRT[S]
 }
 
 // NewLockstep wraps protocol p over configuration cfg with the
-// active-frontier engine. The configuration is used in place (not
-// copied): callers observing cfg see the evolving states.
+// active-frontier engine: after each round only nodes whose local view
+// may have changed are evaluated next round. It runs as one shard
+// unless the SetShards test seam asks for more. The configuration is
+// used in place (not copied): callers observing cfg see the evolving
+// states.
 //
 // Callers that mutate cfg.States or the topology directly between
 // rounds must either call Run (which re-dirties everything at entry) or
 // notify the engine through DirtyState/DirtyEdge; the fault adapters do
 // the latter. Topology edits are self-detected via graph.Version.
 func NewLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) *Lockstep[S] {
-	l := &Lockstep[S]{
-		p:         p,
-		cfg:       cfg,
-		next:      make([]S, len(cfg.States)),
-		frontier:  graph.NewFrontier(len(cfg.States)),
-		movedBuf:  make([]bool, len(cfg.States)),
-		activeBuf: make([]graph.NodeID, 0, len(cfg.States)),
-		fullScan:  referenceScan.Load(),
-	}
-	states := cfg.States // the slice header is stable; only elements change
-	l.peerFn = func(j graph.NodeID) S { return states[j] }
-	l.filteredFn = l.fv.read
-	l.batch, _ = p.(core.BatchEvaluator[S])
-	l.installer, _ = p.(core.BatchInstaller[S])
-	if k := int(defaultShards.Load()); k > 1 && !l.fullScan {
-		l.attachShards(k)
-	}
-	return l
+	return NewShardedLockstep(p, cfg, int(defaultShards.Load()))
 }
 
 // NewReferenceLockstep wraps p over cfg with the full-scan reference
-// engine: every node is evaluated every round, exactly the paper's
-// round structure with no scheduling shortcut. It exists as the oracle
-// the metamorphic tests compare the frontier engine against.
+// engine: the one-shard engine with every round a full round, so every
+// node is evaluated every round — exactly the paper's round structure
+// with no scheduling shortcut. It exists as the oracle the metamorphic
+// tests compare the frontier engine against.
 func NewReferenceLockstep[S comparable](p core.Protocol[S], cfg core.Config[S]) *Lockstep[S] {
-	l := NewLockstep(p, cfg)
+	l := NewShardedLockstep(p, cfg, 1)
 	l.fullScan = true
-	l.sh = nil // the reference engine wins over the sharding seam
 	return l
 }
 
@@ -188,16 +166,11 @@ func (l *Lockstep[S]) DirtyState(v graph.NodeID) {
 	}
 }
 
-// dirty marks one node for re-evaluation, routing to the owning shard's
-// frontier on the sharded engine.
+// dirty marks one node for re-evaluation on the owning shard's frontier.
 //
 //selfstab:noalloc
 func (l *Lockstep[S]) dirty(v graph.NodeID) {
-	if l.sh != nil {
-		l.sh.mark(v)
-		return
-	}
-	l.frontier.Add(v)
+	l.sh.shards[l.sh.part.Owner(v)].front.Add(v)
 }
 
 // DirtyView marks node v alone for re-evaluation: its effective view
@@ -217,12 +190,10 @@ func (l *Lockstep[S]) DirtyView(v graph.NodeID) {
 func (l *Lockstep[S]) DirtyEdge(u, v graph.NodeID) {
 	if !l.csr.Fresh(l.cfg.G) {
 		l.csr = l.cfg.G.Snapshot()
-		if l.sh != nil {
-			// Ranges depend only on (n, k) and stay put, but the halo
-			// index follows the edge set: rebuild it so the next absorb
-			// phase still covers every cross-shard mark.
-			l.sh.part = graph.NewPartition(l.csr, l.sh.k)
-		}
+		// Ranges depend only on (n, k) and stay put, but the halo index
+		// follows the edge set: rebuild it so the next absorb phase
+		// still covers every cross-shard mark.
+		l.sh.part = graph.NewPartition(l.csr, l.sh.k)
 	}
 	for _, x := range [2]graph.NodeID{u, v} {
 		l.dirty(x)
@@ -230,97 +201,6 @@ func (l *Lockstep[S]) DirtyEdge(u, v graph.NodeID) {
 			l.dirty(w)
 		}
 	}
-}
-
-// Step implements Instance: every frontier node evaluates its rules
-// against the current configuration and all resulting states are
-// installed at once. Non-frontier nodes are provably no-ops (their view
-// is unchanged since they last evaluated inactive), so the returned
-// move count equals the full scan's. Steady-state rounds allocate
-// nothing (pinned by noalloc and the bench gate); the suppressed cold
-// paths below run only on topology resync or for protocols without
-// batch kernels.
-//
-//selfstab:noalloc
-func (l *Lockstep[S]) Step() int {
-	if l.sh != nil {
-		return l.stepSharded()
-	}
-	if !l.csr.Fresh(l.cfg.G) {
-		// The topology changed behind our back (mobility churn, a test
-		// editing the graph): re-snapshot and re-evaluate everyone.
-		//lint:ignore noalloc cold resync path, runs only when the topology version moved
-		l.csr = l.cfg.G.Snapshot()
-		l.frontier.AddAll()
-	}
-	if l.fullScan {
-		l.frontier.AddAll()
-	}
-	n := len(l.cfg.States)
-	active := l.frontier.Drain(l.activeBuf, n)
-	l.activeBuf = active
-
-	states := l.cfg.States
-	filtered := l.peerFilter != nil
-	switch {
-	case l.batch != nil && !filtered:
-		l.batch.MoveBatch(active, l.csr, states, l.next, l.movedBuf)
-	default:
-		pv := l.peerFn
-		direct := states
-		if filtered {
-			l.fv.states = states
-			l.fv.filter = l.peerFilter
-			pv = l.filteredFn
-			direct = nil // mediated reads: protocols must go through Peer
-		}
-		for _, id := range active {
-			if filtered {
-				l.fv.viewer = id
-			}
-			//lint:ignore noalloc generic fallback for protocols without batch kernels; the kernel path above is the allocation-free one
-			next, m := l.p.Move(core.View[S]{
-				ID:    id,
-				Self:  states[id],
-				Nbrs:  l.csr.Neighbors(id),
-				Peer:  pv,
-				Peers: direct,
-			})
-			l.next[id] = next
-			l.movedBuf[id] = m
-		}
-	}
-	// Install phase: commit every evaluated node at once (the loop above
-	// read only pre-round states), then build the next round's frontier —
-	// movers re-evaluate, and a changed state re-dirties the nodes whose
-	// view contains it: the whole closed neighborhood on the generic path,
-	// or only the protocol's true read dependents when it provides an
-	// installer. Both are sound supersets, so outputs are byte-identical.
-	var moved int
-	if l.installer != nil {
-		moved = l.installer.InstallBatch(active, l.csr, states, l.next, l.movedBuf, l.frontier)
-	} else {
-		offs, nbrs := l.csr.Rows()
-		for _, id := range active {
-			nx := l.next[id]
-			if l.movedBuf[id] {
-				moved++
-				l.frontier.Add(id)
-			}
-			if nx != states[id] {
-				states[id] = nx
-				l.frontier.Add(id)
-				for _, w := range nbrs[offs[id]:offs[id+1]] {
-					l.frontier.Add(w)
-				}
-			}
-		}
-	}
-	if moved > 0 {
-		l.rounds++
-		l.moves += moved
-	}
-	return moved
 }
 
 // Run implements Instance.
@@ -384,11 +264,7 @@ func (l *Lockstep[S]) runLoop(ctx context.Context, maxRounds int, redirty, probe
 	// execution quiesces — which is where the paper's own convergence
 	// analysis says nearly all the full-scan work is wasted.
 	if redirty {
-		if l.sh != nil {
-			l.sh.addAll()
-		} else {
-			l.frontier.AddAll()
-		}
+		l.sh.addAll()
 	}
 	done := ctx.Done()
 	start := l.rounds

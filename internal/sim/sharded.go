@@ -8,18 +8,18 @@ import (
 	"selfstab/internal/graph"
 )
 
-// defaultShards, when set above 1, makes every frontier-engine Lockstep
-// built by this package (including the fault adapters) run sharded with
-// that many shards. It is the sharded analog of referenceScan: the
-// metamorphic equivalence tests flip it to replay whole experiment
-// tables and soak campaigns through the sharded engine and demand
-// byte-identical output. Production code constructs sharded executors
-// explicitly via NewShardedLockstep.
+// defaultShards, when set above 1, makes every Lockstep built by
+// NewLockstep (including the fault adapters) run with that many shards.
+// It is the sharded analog of referenceScan: the metamorphic
+// equivalence tests flip it to replay whole experiment tables and soak
+// campaigns through the sharded engine and demand byte-identical
+// output. Production code constructs sharded executors explicitly via
+// NewShardedLockstep.
 var defaultShards atomic.Int32
 
 // SetShards sets the shard count for executors constructed afterwards
 // (already-built executors keep their engine); k <= 1 restores the
-// unsharded default. Tests must not toggle it while executors are being
+// one-shard default. Tests must not toggle it while executors are being
 // constructed concurrently.
 func SetShards(k int) { defaultShards.Store(int32(k)) }
 
@@ -49,10 +49,10 @@ const (
 	phaseAbsorb        // pull marks other shards left in our range
 )
 
-// shardRT is the sharded engine state hanging off a Lockstep. The
-// executor keeps Lockstep's observable behavior — byte-identical
-// Results, rounds, moves, states — while splitting every round into the
-// four phases above across K contiguous node ranges:
+// shardRT is the round engine hanging off every Lockstep. It splits each
+// round into the four phases above across K contiguous node ranges
+// (K = 1 for the sequential engine) while keeping observable behavior —
+// Results, rounds, moves, states — byte-identical for every K:
 //
 //   - Eval reads only the frozen pre-round state vector and writes
 //     next/moved at owned indices — disjoint across shards.
@@ -64,25 +64,15 @@ const (
 //     writes land in disjoint ranges across shards, so the merge is
 //     race-free and, being commutative flag ORs, order-independent.
 //
-// Byte-identity with the reference engine follows from the same
-// argument as the frontier engine's (DESIGN.md §7b): each shard's
-// frontier, after absorb, covers every node in its range whose view
-// changed, so the union drained next round is a sound superset of the
-// privileged set, and evaluating a non-privileged node is a no-op that
-// consumes no randomness.
+// Byte-identity with the full scan follows from the frontier argument
+// (DESIGN.md §7b): each shard's frontier, after absorb, covers every
+// node in its range whose view changed, so the union drained next round
+// is a sound superset of the privileged set, and evaluating a
+// non-privileged node is a no-op that consumes no randomness.
 type shardRT[S comparable] struct {
-	k    int
-	part *graph.Partition
-	// fronts[s] is shard s's full-length frontier. Shard s drains only
-	// its own range from it; marks it writes outside that range land in
-	// its halo and are pulled over by the owners during absorb. Shard
-	// frontiers never use the "full" state — fullRound below replaces it
-	// so no per-range scan ever has to expand an implicit full set.
-	fronts []*graph.Frontier
-	bufs   [][]graph.NodeID // per-shard drain buffers, cap = range size
-	chg    [][]bool         // generic-path change flags, parallel to bufs[s]; nil with a kernel
-	mv     []int            // per-shard move count of the round in flight
-	chgAny []bool           // per-shard "some state changed" of the round in flight
+	k      int
+	part   *graph.Partition
+	shards []shard[S]
 
 	fullRound  bool // next round evaluates everyone (Run entry, topology resync)
 	roundFull  bool // the round in flight is a full round
@@ -91,13 +81,8 @@ type shardRT[S comparable] struct {
 
 	// skern, when the protocol provides one, is the barrier-split
 	// install fast path; nil falls back to the generic commit+mark with
-	// closed-neighborhood marking, exactly as Lockstep's generic install.
+	// closed-neighborhood marking.
 	skern core.ShardKernel[S]
-
-	// fvs/filtFns are per-shard filtered peer readers (one filteredViewer
-	// per shard so concurrent shards can each re-target their own viewer).
-	fvs     []filteredViewer[S]
-	filtFns []func(graph.NodeID) S
 
 	workCh  chan shardReq
 	wg      sync.WaitGroup
@@ -105,125 +90,141 @@ type shardRT[S comparable] struct {
 	closed  bool
 }
 
+// shard is one node range's state in the round engine. The per-shard
+// fields live side by side so an executor's construction cost stays a
+// handful of allocations whatever the shard count.
+type shard[S comparable] struct {
+	// front is the shard's full-length frontier. The shard drains only
+	// its own range from it; marks it writes outside that range land in
+	// its halo and are pulled over by the owners during absorb. Shard
+	// frontiers never use the "full" state — fullRound replaces it so no
+	// per-range scan ever has to expand an implicit full set.
+	front  graph.Frontier
+	buf    []graph.NodeID // drain buffer, cap = range size
+	chg    []bool         // generic-path change flags, parallel to buf; nil with a kernel
+	mv     int            // move count of the round in flight
+	chgAny bool           // some state changed in the round in flight
+
+	// rd/peer are the generic Move path's Peer reader: one per shard so
+	// concurrent shards can each re-target their own viewer. Built only
+	// for executors that take that path (see initReaders).
+	rd   peerReader[S]
+	peer func(graph.NodeID) S
+}
+
 // NewShardedLockstep wraps protocol p over configuration cfg with the
-// sharded frontier engine at the given shard count. Semantics are those
-// of NewLockstep — same Results, same state evolution, byte for byte —
+// frontier engine at the given shard count. Semantics are those of
+// NewLockstep — same Results, same state evolution, byte for byte —
 // with rounds executed shard-parallel once they are large enough to pay
-// for dispatch. shards <= 1 (after clamping to the node count) yields a
-// plain frontier engine. Call Close when done to release the worker
-// pool (a pool is only spawned once a round exceeds an internal size
-// threshold, so small executions hold no goroutines).
+// for dispatch. shards is clamped to [1, node count]; one shard is the
+// sequential engine and never starts a goroutine. With more, call Close
+// when done to release the worker pool (a pool is only spawned once a
+// round exceeds an internal size threshold, so small executions hold no
+// goroutines).
 func NewShardedLockstep[S comparable](p core.Protocol[S], cfg core.Config[S], shards int) *Lockstep[S] {
-	l := NewLockstep(p, cfg)
-	l.sh = nil
-	l.attachShards(shards)
+	n := len(cfg.States)
+	k := max(1, min(shards, n))
+	l := &Lockstep[S]{
+		p:        p,
+		cfg:      cfg,
+		next:     make([]S, n),
+		movedBuf: make([]bool, n),
+		fullScan: referenceScan.Load(),
+		csr:      cfg.G.Snapshot(),
+	}
+	l.batch, _ = p.(core.BatchEvaluator[S])
+	rt := &l.sh
+	rt.k = k
+	rt.part = graph.NewPartition(l.csr, k)
+	rt.shards = make([]shard[S], k)
+	rt.fullRound = true
+	rt.skern, _ = p.(core.ShardKernel[S])
+	for s := range rt.shards {
+		sh := &rt.shards[s]
+		lo, hi := rt.part.Range(s)
+		sh.front = *graph.NewFrontier(n)
+		sh.front.Reset()
+		sh.buf = make([]graph.NodeID, 0, hi-lo)
+		if rt.skern == nil {
+			sh.chg = make([]bool, hi-lo)
+		}
+	}
+	if l.batch == nil {
+		l.initReaders()
+	}
 	return l
 }
 
-// attachShards switches l to the sharded engine with k shards (clamped
-// to the node count; k <= 1 after clamping leaves l unsharded).
-func (l *Lockstep[S]) attachShards(k int) {
-	n := len(l.cfg.States)
-	if k > n {
-		k = n
-	}
-	if k <= 1 {
-		return
-	}
-	l.csr = l.cfg.G.Snapshot()
-	rt := &shardRT[S]{
-		k:         k,
-		part:      graph.NewPartition(l.csr, k),
-		fronts:    make([]*graph.Frontier, k),
-		bufs:      make([][]graph.NodeID, k),
-		mv:        make([]int, k),
-		chgAny:    make([]bool, k),
-		fullRound: true,
-	}
-	rt.skern, _ = l.p.(core.ShardKernel[S])
-	if rt.skern == nil {
-		rt.chg = make([][]bool, k)
-	}
-	for s := 0; s < k; s++ {
-		lo, hi := rt.part.Range(s)
-		rt.fronts[s] = graph.NewFrontier(n)
-		rt.fronts[s].Reset()
-		rt.bufs[s] = make([]graph.NodeID, 0, hi-lo)
-		if rt.skern == nil {
-			rt.chg[s] = make([]bool, hi-lo)
-		}
-	}
-	rt.fvs = make([]filteredViewer[S], k)
-	rt.filtFns = make([]func(graph.NodeID) S, k)
-	for s := 0; s < k; s++ {
-		rt.filtFns[s] = rt.fvs[s].read
-	}
-	l.sh = rt
-}
-
-// Close releases the sharded worker pool, if one was spawned. It is a
-// no-op on unsharded executors and safe to call more than once.
-func (l *Lockstep[S]) Close() {
-	if l.sh != nil {
-		l.sh.close()
+// initReaders builds every shard's Peer reader for the generic Move
+// path, over the current peerFilter. Only executors that take that path
+// pay for the closures: protocols without a batch evaluator, and fault
+// runs, whose filter mediates every read.
+func (l *Lockstep[S]) initReaders() {
+	for s := range l.sh.shards {
+		sh := &l.sh.shards[s]
+		sh.rd = peerReader[S]{states: l.cfg.States, filter: l.peerFilter}
+		sh.peer = sh.rd.read
 	}
 }
 
-// mark routes an externally attributed dirty mark to the owning shard.
-//
-//selfstab:noalloc
-func (rt *shardRT[S]) mark(v graph.NodeID) {
-	rt.fronts[rt.part.Owner(v)].Add(v)
-}
+// Close releases the worker pool, if one was spawned. It is a no-op on
+// one-shard executors and safe to call more than once.
+func (l *Lockstep[S]) Close() { l.sh.close() }
 
 // addAll schedules a full round: every node of every shard evaluates.
 // Pending per-shard marks are discharged — the full round subsumes them.
 //
 //selfstab:noalloc
 func (rt *shardRT[S]) addAll() {
-	for _, f := range rt.fronts {
-		f.Reset()
+	for s := range rt.shards {
+		rt.shards[s].front.Reset()
 	}
 	rt.fullRound = true
 }
 
-// stepSharded is Step for the sharded engine: the same round shape as
-// Lockstep.Step, with the evaluate and install halves split into
-// barrier-separated shard phases.
+// Step implements Instance: every frontier node evaluates its rules
+// against the current configuration and all resulting states are
+// installed at once, with the evaluate and install halves split into
+// barrier-separated shard phases. Non-frontier nodes are provably
+// no-ops (their view is unchanged since they last evaluated inactive),
+// so the returned move count equals the full scan's. Steady-state
+// rounds allocate nothing (pinned by noalloc and the bench gate); the
+// suppressed cold paths run only on topology resync, on the one-time
+// pool spawn, or for protocols without batch kernels.
 //
 //selfstab:noalloc
-func (l *Lockstep[S]) stepSharded() int {
-	rt := l.sh
+func (l *Lockstep[S]) Step() int {
+	rt := &l.sh
 	if !l.csr.Fresh(l.cfg.G) {
-		// Unattributed topology change: re-snapshot, rebuild the halo
-		// index (ranges depend only on (n, k) and stay put), re-dirty
-		// everyone — exactly Lockstep's self-detection response.
+		// Unattributed topology change (mobility churn, a test editing
+		// the graph): re-snapshot, rebuild the halo index (ranges depend
+		// only on (n, k) and stay put), and re-evaluate everyone.
 		//lint:ignore noalloc cold resync path, runs only when the topology version moved
 		l.csr = l.cfg.G.Snapshot()
 		//lint:ignore noalloc cold resync path, partition rebuild only on topology change
 		rt.part = graph.NewPartition(l.csr, rt.k)
 		rt.addAll()
 	}
-	rt.roundFull = rt.fullRound
+	rt.roundFull = rt.fullRound || l.fullScan
 	rt.fullRound = false
 	est := rt.lastActive
 	if rt.roundFull {
 		est = len(l.cfg.States)
 	}
-	rt.parallel = est >= shardParallelMin
+	rt.parallel = rt.k > 1 && est >= shardParallelMin
 
 	rt.runAll(l, phaseEval)
 	active := 0
-	for s := 0; s < rt.k; s++ {
-		active += len(rt.bufs[s])
+	for s := range rt.shards {
+		active += len(rt.shards[s].buf)
 	}
 	rt.lastActive = active
 
 	rt.runAll(l, phaseCommit)
 	moved, anyChg := 0, false
-	for s := 0; s < rt.k; s++ {
-		moved += rt.mv[s]
-		anyChg = anyChg || rt.chgAny[s]
+	for s := range rt.shards {
+		moved += rt.shards[s].mv
+		anyChg = anyChg || rt.shards[s].chgAny
 	}
 	// Quiet rounds skip the install half entirely: nothing moved and
 	// nothing changed, so there are no marks to derive or exchange.
@@ -274,7 +275,7 @@ func (rt *shardRT[S]) ensurePool(l *Lockstep[S]) {
 }
 
 func shardWorker[S comparable](l *Lockstep[S]) {
-	rt := l.sh
+	rt := &l.sh
 	for req := range rt.workCh {
 		rt.runPhase(l, req.phase, req.shard)
 		rt.wg.Done()
@@ -312,21 +313,22 @@ func (rt *shardRT[S]) runPhase(l *Lockstep[S], phase, s int) {
 //
 //selfstab:noalloc
 func (rt *shardRT[S]) evalShard(l *Lockstep[S], s int) {
+	sh := &rt.shards[s]
 	lo, hi := rt.part.Range(s)
 	var ids []graph.NodeID
 	if rt.roundFull {
-		ids = rt.bufs[s][:0]
+		ids = sh.buf[:0]
 		for v := lo; v < hi; v++ {
-			//lint:ignore noalloc bufs[s] is pre-sized to the range, so append never grows
+			//lint:ignore noalloc buf is pre-sized to the range, so append never grows
 			ids = append(ids, v)
 		}
 		// Discharge stray marks routed in since the full round was
 		// scheduled — the full evaluation subsumes them.
-		rt.fronts[s].Reset()
+		sh.front.Reset()
 	} else {
-		ids = rt.fronts[s].DrainRange(rt.bufs[s], int(lo), int(hi))
+		ids = sh.front.DrainRange(sh.buf, int(lo), int(hi))
 	}
-	rt.bufs[s] = ids
+	sh.buf = ids
 
 	states := l.cfg.States
 	filtered := l.peerFilter != nil
@@ -334,25 +336,18 @@ func (rt *shardRT[S]) evalShard(l *Lockstep[S], s int) {
 		l.batch.MoveBatch(ids, l.csr, states, l.next, l.movedBuf)
 		return
 	}
-	pv := l.peerFn
 	direct := states
-	fv := &rt.fvs[s]
 	if filtered {
-		fv.states = states
-		fv.filter = l.peerFilter
-		pv = rt.filtFns[s]
 		direct = nil // mediated reads: protocols must go through Peer
 	}
 	for _, id := range ids {
-		if filtered {
-			fv.viewer = id
-		}
+		sh.rd.viewer = id
 		//lint:ignore noalloc generic fallback for protocols without batch kernels; the kernel path above is the allocation-free one
 		next, m := l.p.Move(core.View[S]{
 			ID:    id,
 			Self:  states[id],
 			Nbrs:  l.csr.Neighbors(id),
-			Peer:  pv,
+			Peer:  sh.peer,
 			Peers: direct,
 		})
 		l.next[id] = next
@@ -365,19 +360,19 @@ func (rt *shardRT[S]) evalShard(l *Lockstep[S], s int) {
 //
 //selfstab:noalloc
 func (rt *shardRT[S]) commitShard(l *Lockstep[S], s int) {
-	ids := rt.bufs[s]
+	sh := &rt.shards[s]
+	ids := sh.buf
 	states := l.cfg.States
 	if rt.skern != nil {
-		rt.mv[s] = rt.skern.CommitBatch(ids, states, l.next, l.movedBuf)
-		rt.chgAny[s] = rt.mv[s] > 0
+		sh.mv = rt.skern.CommitBatch(ids, states, l.next, l.movedBuf)
+		sh.chgAny = sh.mv > 0
 		return
 	}
-	chg := rt.chg[s]
 	mv, any := 0, false
 	for i, id := range ids {
 		nx := l.next[id]
 		c := nx != states[id]
-		chg[i] = c
+		sh.chg[i] = c
 		if c {
 			states[id] = nx
 			any = true
@@ -386,30 +381,29 @@ func (rt *shardRT[S]) commitShard(l *Lockstep[S], s int) {
 			mv++
 		}
 	}
-	rt.mv[s], rt.chgAny[s] = mv, any
+	sh.mv, sh.chgAny = mv, any
 }
 
 // markShard derives shard s's re-evaluation marks from the fully
 // committed post-round states, writing only its own frontier. The
-// generic path mirrors Lockstep's generic install marking exactly: it
-// reads no neighbor states, only structure, so the commit/mark split
-// cannot change which nodes it marks.
+// generic path marks the closed neighborhood of every changed node (and
+// every mover itself): it reads no neighbor states, only structure, so
+// the commit/mark split cannot change which nodes it marks.
 //
 //selfstab:noalloc
 func (rt *shardRT[S]) markShard(l *Lockstep[S], s int) {
-	ids := rt.bufs[s]
-	f := rt.fronts[s]
+	sh := &rt.shards[s]
+	f := &sh.front
 	if rt.skern != nil {
-		rt.skern.MarkBatch(ids, l.csr, l.cfg.States, l.movedBuf, f)
+		rt.skern.MarkBatch(sh.buf, l.csr, l.cfg.States, l.movedBuf, f)
 		return
 	}
 	offs, nbrs := l.csr.Rows()
-	chg := rt.chg[s]
-	for i, id := range ids {
+	for i, id := range sh.buf {
 		if l.movedBuf[id] {
 			f.Add(id)
 		}
-		if chg[i] {
+		if sh.chg[i] {
 			f.Add(id)
 			for _, w := range nbrs[offs[id]:offs[id+1]] {
 				f.Add(w)
@@ -425,14 +419,14 @@ func (rt *shardRT[S]) markShard(l *Lockstep[S], s int) {
 //
 //selfstab:noalloc
 func (rt *shardRT[S]) absorbShard(s int) {
-	mine := rt.fronts[s]
-	for t := 0; t < rt.k; t++ {
+	mine := &rt.shards[s].front
+	for t := range rt.shards {
 		if t == s {
 			continue
 		}
 		alo, ahi := rt.part.AbsorbSpan(t, s)
 		if alo < ahi {
-			mine.Absorb(rt.fronts[t], int(alo), int(ahi))
+			mine.Absorb(&rt.shards[t].front, int(alo), int(ahi))
 		}
 	}
 }

@@ -33,6 +33,25 @@ func TestShardedMatchesReferenceSMM(t *testing.T) {
 			sh.Close()
 		}
 	}
+	// The Section 3 counterexample never stabilizes: every shard count
+	// must replay the reference's period-2 oscillation on C4 and run to
+	// the round limit.
+	c4 := func() core.Config[core.Pointer] {
+		cfg := core.NewConfig[core.Pointer](graph.Cycle(4))
+		for i := range cfg.States {
+			cfg.States[i] = core.Null
+		}
+		return cfg
+	}
+	for _, k := range shardCounts {
+		sh := NewShardedLockstep[core.Pointer](core.NewSMMArbitrary(), c4(), k)
+		ref := NewReferenceLockstep[core.Pointer](core.NewSMMArbitrary(), c4())
+		stepCompare(t, "sharded SMM-arbitrary", sh, ref, 9)
+		if res := sh.Run(9); res.Stable || res.Rounds != 9 {
+			t.Fatalf("shards=%d: SMM-arbitrary on C4: %v, want 9 unstable rounds", k, res)
+		}
+		sh.Close()
+	}
 }
 
 func TestShardedMatchesReferenceSMI(t *testing.T) {
@@ -88,7 +107,7 @@ func TestShardedMatchesReferenceRandMIS(t *testing.T) {
 
 // Refined(SMM) changes aux state with moved == false, so the sharded
 // generic path's change flags (not the moved flags) must drive its
-// marking, exactly as in the unsharded engine.
+// marking at every shard count.
 func TestShardedMatchesReferenceRefined(t *testing.T) {
 	rng := rand.New(rand.NewSource(204))
 	for trial := 0; trial < 8; trial++ {
@@ -128,6 +147,15 @@ func TestShardedPooledPathMatchesReference(t *testing.T) {
 			refi := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, seed))
 			stepCompare(t, "pooled sharded SMI", shi, refi, g.N()+4)
 			shi.Close()
+
+			// A randomized protocol on the pool: per-node generators keep
+			// concurrent Move calls race-free and the streams aligned.
+			ps := protocols.NewRandMIS(g.N(), seed)
+			pr := protocols.NewRandMIS(g.N(), seed)
+			shr := NewShardedLockstep[bool](ps, equivCfg[bool](ps, g, seed), k)
+			refr := NewReferenceLockstep[bool](pr, equivCfg[bool](pr, g, seed))
+			stepCompare(t, "pooled sharded RandMIS", shr, refr, 6*g.N()+10)
+			shr.Close()
 		}
 	}
 }
@@ -194,7 +222,7 @@ func TestShardedFaultScheduleMatchesReference(t *testing.T) {
 
 // Direct topology and state edits between Run calls must be absorbed by
 // the version self-detection (which also rebuilds the halo index) and
-// the Run-entry re-dirty, exactly as on the unsharded engine.
+// the Run-entry re-dirty at every shard count.
 func TestShardedSurvivesExternalMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(208))
 	for trial := 0; trial < 8; trial++ {
@@ -251,61 +279,87 @@ func TestShardedSurvivesExternalMutation(t *testing.T) {
 	}
 }
 
-// The SetShards seam must shard frontier-engine executors built after it
-// and leave reference engines untouched — that pair is what lets the
-// harness and soak twins replay whole campaigns through the sharded
-// engine without plumbing a shard count through every constructor.
+// The SetShards seam must set the shard count of executors built after
+// it and leave reference engines at one shard with full rounds — that
+// pair is what lets the harness and soak twins replay whole campaigns
+// through the sharded engine without plumbing a shard count through
+// every constructor.
 func TestSetShardsSeam(t *testing.T) {
 	g := graph.Path(32)
 	SetShards(4)
 	defer SetShards(1)
 	l := NewLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, 1))
-	if l.sh == nil || l.sh.k != 4 {
-		t.Fatalf("seam did not shard the frontier engine: %+v", l.sh)
+	if l.sh.k != 4 {
+		t.Fatalf("seam did not shard the frontier engine: k = %d", l.sh.k)
 	}
 	ref := NewReferenceLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, 1))
-	if ref.sh != nil {
-		t.Fatal("seam sharded the reference engine")
+	if ref.sh.k != 1 || !ref.fullScan {
+		t.Fatalf("reference engine: k = %d, fullScan = %v; want one shard with full rounds", ref.sh.k, ref.fullScan)
 	}
 	ft := NewFaultLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), g, 1))
-	if ft.l.sh == nil {
-		t.Fatal("seam did not shard the fault adapter")
+	if ft.l.sh.k != 4 {
+		t.Fatalf("seam did not shard the fault adapter: k = %d", ft.l.sh.k)
 	}
-	// Clamping: more shards than nodes collapses to the node count, and a
-	// tiny graph refuses to shard at all rather than run empty ranges.
+	// Clamping: more shards than nodes collapses to the node count, so a
+	// single-node graph runs as one shard rather than with empty ranges.
 	tiny := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), graph.Path(3), 1), 8)
-	if tiny.sh == nil || tiny.sh.k != 3 {
-		t.Fatalf("shard clamp to node count failed: %+v", tiny.sh)
+	if tiny.sh.k != 3 {
+		t.Fatalf("shard clamp to node count failed: k = %d", tiny.sh.k)
 	}
 	one := NewShardedLockstep[bool](core.NewSMI(), equivCfg[bool](core.NewSMI(), graph.Path(1), 1), 8)
-	if one.sh != nil {
-		t.Fatal("single-node graph should not shard")
+	if one.sh.k != 1 {
+		t.Fatalf("single-node graph: k = %d, want 1", one.sh.k)
 	}
 }
 
-// Steady-state rounds of a sharded executor must allocate nothing: the
-// zero-allocation property the million-node benchmarks depend on, pinned
-// here so it cannot regress silently. Both quiet rounds and active
-// fault-recovery rounds are measured after the buffers have warmed up.
+// Steady-state rounds must allocate nothing, on the default one-shard
+// engine and on a sharded one: the zero-allocation property the
+// million-node benchmarks depend on, pinned here so it cannot regress
+// silently. Both quiet rounds and active fault-recovery rounds are
+// measured after the buffers have warmed up.
 func TestShardedStepZeroAllocSteadyState(t *testing.T) {
 	g := graph.RandomConnected(256, 0.03, rand.New(rand.NewSource(42)))
+	for _, k := range []int{1, 4} {
+		p := core.NewSMM()
+		cfg := equivCfg[core.Pointer](p, g, 42)
+		l := NewLockstep[core.Pointer](p, cfg)
+		if k > 1 {
+			l = NewShardedLockstep[core.Pointer](p, cfg, k)
+		}
+		if res := l.Run(g.N() + 2); !res.Stable {
+			t.Fatalf("shards=%d: did not stabilize: %v", k, res)
+		}
+		if avg := testing.AllocsPerRun(50, func() { l.Step() }); avg != 0 {
+			t.Fatalf("shards=%d: quiet round allocates: %v allocs/op", k, avg)
+		}
+		victim := graph.NodeID(17)
+		if avg := testing.AllocsPerRun(50, func() {
+			cfg.States[victim] = core.Null
+			l.DirtyState(victim)
+			for l.Step() > 0 {
+			}
+		}); avg != 0 {
+			t.Fatalf("shards=%d: active recovery allocates: %v allocs/op", k, avg)
+		}
+		l.Close()
+	}
+}
+
+// A one-shard engine never dispatches to the worker pool, however large
+// its rounds: it starts no goroutine and needs no Close, which is what
+// lets plain NewLockstep callers drop executors without releasing them.
+func TestOneShardNeverStartsPool(t *testing.T) {
+	n := shardParallelMin + 64
+	g := graph.RandomConnected(n, 8/float64(n), rand.New(rand.NewSource(43)))
 	p := core.NewSMM()
-	cfg := equivCfg[core.Pointer](p, g, 42)
-	l := NewShardedLockstep[core.Pointer](p, cfg, 4)
-	defer l.Close()
-	if res := l.Run(g.N() + 2); !res.Stable {
+	l := NewLockstep[core.Pointer](p, equivCfg[core.Pointer](p, g, 43))
+	if l.sh.k != 1 {
+		t.Fatalf("k = %d, want 1", l.sh.k)
+	}
+	if res := l.Run(n + 2); !res.Stable {
 		t.Fatalf("did not stabilize: %v", res)
 	}
-	if avg := testing.AllocsPerRun(50, func() { l.Step() }); avg != 0 {
-		t.Fatalf("quiet sharded round allocates: %v allocs/op", avg)
-	}
-	victim := graph.NodeID(17)
-	if avg := testing.AllocsPerRun(50, func() {
-		cfg.States[victim] = core.Null
-		l.DirtyState(victim)
-		for l.Step() > 0 {
-		}
-	}); avg != 0 {
-		t.Fatalf("active sharded recovery allocates: %v allocs/op", avg)
+	if l.sh.started {
+		t.Fatal("one-shard engine started the worker pool")
 	}
 }

@@ -25,6 +25,7 @@ package selfstab
 
 import (
 	"math/rand"
+	goruntime "runtime"
 
 	"selfstab/internal/adversary"
 	"selfstab/internal/beacon"
@@ -176,14 +177,15 @@ func NewLockstep[S comparable](p Protocol[S], cfg Config[S]) *Lockstep[S] {
 	return sim.NewLockstep[S](p, cfg)
 }
 
-// ParallelLockstep is the data-parallel lockstep executor: identical
-// semantics to Lockstep, rounds evaluated across a worker pool.
-type ParallelLockstep[S comparable] = sim.Parallel[S]
-
-// NewParallelLockstep wraps a protocol with the given worker count
-// (<= 0 selects GOMAXPROCS).
-func NewParallelLockstep[S comparable](p Protocol[S], cfg Config[S], workers int) *ParallelLockstep[S] {
-	return sim.NewParallel[S](p, cfg, workers)
+// NewParallelLockstep wraps a protocol with the sharded executor at one
+// shard per worker (<= 0 selects GOMAXPROCS): identical semantics to
+// NewLockstep, large rounds evaluated across a worker pool. Call Close
+// when done to release the pool.
+func NewParallelLockstep[S comparable](p Protocol[S], cfg Config[S], workers int) *Lockstep[S] {
+	if workers <= 0 {
+		workers = goruntime.GOMAXPROCS(0)
+	}
+	return sim.NewShardedLockstep[S](p, cfg, workers)
 }
 
 // StaleLockstep executes with bounded-staleness views (see
